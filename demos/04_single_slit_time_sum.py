@@ -14,8 +14,9 @@ import numpy as np
 
 from matterslit import (
     ELECTRON,
+    TimeSumConfig,
     TwoLegPath,
-    convergence_study,
+    evaluate_window,
     normalized_argument,
     stationary_phase,
     timesum_asymptotic,
@@ -31,10 +32,18 @@ phi0 = stationary_phase(path, ELECTRON).raw
 print(f"legs {leg:.2e} m, duration {tau:.4e} s, phi0 = {phi0:.1f} rad")
 print(f"phi0 mod 2 pi = {np.mod(phi0, 2 * np.pi):.6f}  (aligned on pi)")
 
-series = convergence_study(path, preset["windows_s"], ELECTRON)
+windows = preset["windows_s"]
+amplitudes = [
+    evaluate_window(
+        path,
+        TimeSumConfig(window=w, max_nodes=preset["max_nodes"], domain=preset["domain"]),
+        ELECTRON,
+    )[0]
+    for w in windows
+]
 closed = timesum_closed_form(phi0, ELECTRON)
 print(f"\n{'window/tau':>10} {'Re':>12} {'argument':>10}")
-for w, amp in zip(series.window_values, series.amplitudes):
+for w, amp in zip(windows, amplitudes):
     print(f"{w / tau:10.2f} {amp.re:12.4f} {normalized_argument(amp, ELECTRON):10.5f}")
 print(f"{'closed':>10} {closed.re:12.4f} {normalized_argument(closed, ELECTRON):10.5f}")
 print(f"{'-3 pi/4':>23} {-3 * np.pi / 4:10.5f}")
@@ -53,14 +62,14 @@ try:
 except ImportError:
     print("\nmatplotlib not available; skipping the plot")
 else:
-    windows = np.asarray(series.window_values) / tau
-    res = np.asarray([amp.re for amp in series.amplitudes])
-    args = np.asarray([normalized_argument(a, ELECTRON) for a in series.amplitudes])
+    fractions = np.asarray(windows) / tau
+    res = np.asarray([amp.re for amp in amplitudes])
+    args = np.asarray([normalized_argument(a, ELECTRON) for a in amplitudes])
     fig, (ax1, ax2) = plt.subplots(2, 1, figsize=(7, 6), sharex=True)
-    ax1.plot(windows, res, "o-", ms=3)
+    ax1.plot(fractions, res, "o-", ms=3)
     ax1.axhline(closed.re, color="k", ls="--", lw=0.8)
     ax1.set_ylabel("Re of the time sum")
-    ax2.plot(windows, args, "o-", ms=3, color="tab:red")
+    ax2.plot(fractions, args, "o-", ms=3, color="tab:red")
     ax2.axhline(-3 * np.pi / 4, color="k", ls="--", lw=0.8)
     ax2.axhline(-np.pi, color="k", ls=":", lw=0.8)
     ax2.set_ylabel("argument (prefactor removed)")

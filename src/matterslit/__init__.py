@@ -55,14 +55,10 @@ from .faddeeva import (
     timesum_closed_form,
 )
 from .timesum import (
-    ConvergenceSeries,
     IntegrationDomain,
     QuadratureInfo,
     TimeSumConfig,
-    convergence_study,
     evaluate_window,
-    full_timesum_u_domain,
-    time_summed_amplitude,
 )
 from .wavepacket import (
     WavePacketParams,

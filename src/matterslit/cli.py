@@ -35,6 +35,7 @@ from .doubleslit import (
     Timing,
     TimingConvention,
     discrepancy_report,
+    leg_lengths,
     pattern,
 )
 from .errors import NodeBudgetError
@@ -148,20 +149,35 @@ PRESETS = {"fig4": fig4_preset, "fig6": fig6_preset}
 # config parsing (ValueError messages carry the offending field path)
 
 
+def _number(value, field: str, kind=float):
+    """The one rule for a config number: finite floats, integers, no booleans."""
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{field}: expected a number, got {value!r}")
+        # false for nan and inf, and exact for integers beyond the float range
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{field}: expected a finite number, got {value!r}")
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field}: expected an integer, got {value!r}")
+    return value
+
+
+def _numbers(values, field: str) -> list[float]:
+    """A JSON list of numbers; an offending element is named by its index."""
+    if not isinstance(values, list):
+        raise ValueError(f"{field}: expected list, got {values!r}")
+    return [_number(v, f"{field}[{i}]") for i, v in enumerate(values)]
+
+
 def _get(cfg: dict, key: str, path: str, kind=None, required=True, default=None):
     if key not in cfg:
         if required:
             raise ValueError(f"{path}{key}: missing required field")
         return default
     value = cfg[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{path}{key}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{path}{key}: expected an integer, got {value!r}")
-        return value
+    if kind in (float, int):
+        return _number(value, f"{path}{key}", kind)
     if kind is not None and not isinstance(value, kind):
         raise ValueError(f"{path}{key}: expected {kind.__name__}, got {value!r}")
     return value
@@ -202,10 +218,10 @@ def _parse_timing(cfg: dict) -> Timing:
 def _parse_screen(cfg: dict) -> np.ndarray:
     s = _get(cfg, "screen", "", dict)
     if "points_y_m" in s:
-        pts = _get(s, "points_y_m", "screen.", list)
+        pts = _numbers(s["points_y_m"], "screen.points_y_m")
         if not pts:
             raise ValueError("screen.points_y_m: must be non-empty")
-        return np.asarray([float(v) for v in pts])
+        return np.asarray(pts)
     count = _get(s, "count", "screen.", int)
     if count < 2:
         raise ValueError(f"screen.count: need at least 2 grid points, got {count}")
@@ -246,14 +262,21 @@ def _parse_methods(cfg: dict) -> list[Method]:
 def _parse_sweep_values(cfg: dict, key: str, path: str = "") -> list[float]:
     """A scalar, an explicit list, or {'linspace': [start, stop, count]}."""
     value = _get(cfg, key, path)
+    field = f"{path}{key}"
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)]
+        return [_number(value, field)]
     if isinstance(value, list):
-        return [float(v) for v in value]
+        return _numbers(value, field)
     if isinstance(value, dict) and "linspace" in value:
-        start, stop, count = value["linspace"]
-        return list(np.linspace(float(start), float(stop), int(count)))
-    raise ValueError(f"{path}{key}: expected a number, list, or {{'linspace': ...}}")
+        spec = value["linspace"]
+        field += ".linspace"
+        if not (isinstance(spec, list) and len(spec) == 3):
+            raise ValueError(f"{field}: expected [start, stop, count], got {spec!r}")
+        start, stop = _numbers(spec[:2], field)
+        count = _number(spec[2], f"{field}[2]", int)
+        # Python floats, so that every record serializes as plain JSON
+        return np.linspace(start, stop, count).tolist()
+    raise ValueError(f"{field}: expected a number, list, or {{'linspace': ...}}")
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +318,8 @@ def run_pattern(config: dict) -> dict:
     provenance: dict = {"samples_per_slit": samples}
     if needs_ts:
         # representative cost of one windowed integral (center point, slit-1 center)
-        l1, l2 = geometry.dist_source_slits, geometry.dist_slits_screen
-        probe = TwoLegPath(
-            math.hypot(l1, geometry.slit1_y - geometry.source_y),
-            math.hypot(l2, float(screen[len(screen) // 2]) - geometry.slit1_y),
-            timing.duration(geometry),
-        )
+        l1, l2 = leg_lengths(geometry, geometry.slit1_y, float(screen[len(screen) // 2]))
+        probe = TwoLegPath(l1, l2, timing.duration(geometry))
         _, info = evaluate_window(probe, ts_config, species)
         provenance["timesum"] = {
             "window_s": ts_config.window,
@@ -326,7 +345,7 @@ def run_converge(config: dict) -> dict:
         l2=_get(p, "leg2_m", "path.", float),
         tau=_get(p, "duration_s", "path.", float),
     )
-    windows = [float(w) for w in _get(config, "windows_s", "", list)]
+    windows = _numbers(_get(config, "windows_s", ""), "windows_s")
     if not windows or any(b <= a for a, b in zip(windows, windows[1:])):
         raise ValueError("windows_s: must be a non-empty strictly increasing list")
     domain = IntegrationDomain(
@@ -410,7 +429,7 @@ def run_packet(config: dict) -> dict:
     count = _get(config, "x_count", "", int)
     if count < 2:
         raise ValueError(f"x_count: need at least 2 grid points, got {count}")
-    times = [float(t) for t in _get(config, "times_s", "", list)]
+    times = _numbers(_get(config, "times_s", ""), "times_s")
     if not times:
         raise ValueError("times_s: must be non-empty")
     xs = np.linspace(x_lo, x_hi, count)

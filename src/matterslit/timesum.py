@@ -8,7 +8,9 @@ propagator products over every slit-crossing time,
 
 The integrand oscillates ever faster away from the stationary crossing
 time and diverges integrably at t = 0 and t = tau, so plain uniform grids
-are useless.  Two evaluation routes are provided:
+are useless.  ``evaluate_window`` takes one of two routes; both mesh
+their interval with phase-graded panels and share one budgeted quadrature
+driver:
 
 t-domain (partial windows)
     A window centered on the stationary time, meshed so that the analytic
@@ -54,6 +56,8 @@ from .propagator import (
 _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
 _GL3_X, _GL3_W = np.polynomial.legendre.leggauss(3)
 _CHUNK_PANELS = 400_000  # keeps transient arrays around ~30 MB
+#: nodes per panel: GL5, plus the embedded GL3 when the error is estimated
+_POINTS_PER_PANEL = {True: 8, False: 5}
 
 #: relative tail tolerance of the truncated full u-integral
 _FULL_TAIL_RTOL = 1e-6
@@ -101,21 +105,6 @@ class QuadratureInfo:
     tail_bound: float = 0.0  # absolute truncation bound (full u-integral only)
 
 
-@dataclass(frozen=True)
-class ConvergenceSeries:
-    """Amplitudes of the windowed time sum for a strictly increasing set of windows."""
-
-    window_values: tuple
-    amplitudes: tuple
-
-    def __post_init__(self):
-        if len(self.window_values) != len(self.amplitudes):
-            raise ValueError("window_values and amplitudes must have equal length")
-        w = np.asarray(self.window_values)
-        if len(w) > 1 and not np.all(np.diff(w) > 0):
-            raise ValueError("window_values must be strictly increasing")
-
-
 def _panel_integrate(f_parts, edges, with_estimate=True):
     """Composite fixed-order Gauss-Legendre over consecutive panels.
 
@@ -156,26 +145,33 @@ def _merge_envelope_edges(edges, lo, hi, scale):
     return np.unique(np.concatenate([edges, np.asarray(env)]))
 
 
-def _u_mesh(phi0, u_max, cap):
-    n_steps = int(math.ceil(phi0 * u_max * u_max / cap))
-    edges = np.sqrt(np.arange(n_steps + 1) * (cap / phi0))
-    edges[-1] = u_max
-    return _merge_envelope_edges(edges, 0.0, u_max, lambda u: 1.0 + u)
+def _graded_value(panel_count, mesh, integrand_parts, cap, max_nodes, with_estimate):
+    """Panel quadrature over ``mesh(cap)`` within a node budget.
+
+    ``panel_count`` is the number of panels the mesh needs at the requested
+    phase cap.  When those panels would exceed ``max_nodes``, the cap is
+    coarsened to fit and the result is flagged as over budget, so that the
+    caller can raise with the best value it achieved.  Returns the value, the
+    embedded error estimate, the node count and the over-budget flag.
+    """
+    points_per_panel = _POINTS_PER_PANEL[with_estimate]
+    needed = points_per_panel * panel_count
+    exceeded = needed > max_nodes
+    if exceeded:
+        cap = cap * needed / max_nodes
+    edges = mesh(cap)
+    value, err = _panel_integrate(integrand_parts, edges, with_estimate)
+    return value, err, points_per_panel * (len(edges) - 1), exceeded
 
 
-def _u_panel_count(phi0, u_max, cap):
-    return int(math.ceil(phi0 * u_max * u_max / cap)) + int(4.0 * math.log1p(u_max)) + 2
-
-
-def _u_window_value(phi0, u_max, cap, max_nodes, with_estimate=True):
+def _u_value(phi0, u_max, cap, max_nodes, with_estimate):
     """2 * int_0^U exp(i phi0 u^2)/(1+u^2) du with phase-graded panels."""
-    budget_exceeded = False
-    points_per_panel = 8 if with_estimate else 5
-    needed = points_per_panel * _u_panel_count(phi0, u_max, cap)
-    if needed > max_nodes:
-        budget_exceeded = True
-        cap = cap * needed / max_nodes  # coarsen to fit; report via error below
-    edges = _u_mesh(phi0, u_max, cap)
+
+    def mesh(cap):
+        n_steps = int(math.ceil(phi0 * u_max * u_max / cap))
+        edges = np.sqrt(np.arange(n_steps + 1) * (cap / phi0))
+        edges[-1] = u_max
+        return _merge_envelope_edges(edges, 0.0, u_max, lambda u: 1.0 + u)
 
     def integrand_parts(u):
         envelope = u * u
@@ -188,39 +184,63 @@ def _u_window_value(phi0, u_max, cap, max_nodes, with_estimate=True):
         im *= envelope
         return re, im
 
-    val, err = _panel_integrate(integrand_parts, edges, with_estimate)
-    nodes = points_per_panel * (len(edges) - 1)
-    return 2.0 * val, QuadratureInfo(nodes, 2.0 * err), budget_exceeded
+    panel_count = (
+        int(math.ceil(phi0 * u_max * u_max / cap)) + int(4.0 * math.log1p(u_max)) + 2
+    )
+    val, err, nodes, exceeded = _graded_value(
+        panel_count, mesh, integrand_parts, cap, max_nodes, with_estimate
+    )
+    return 2.0 * val, 2.0 * err, nodes, exceeded
 
 
-def _u_full_value(phi0, cap, max_nodes, with_estimate=True):
-    """Full-line u-integral: truncated core plus analytic tail corrections.
+def _u_domain_value(path, config, species, with_estimate):
+    """Symmetric paths in u; a window of the full duration takes the full line.
 
-    When the node budget cannot reach the truncation point that meets the
-    tail tolerance, the integral is truncated earlier instead of coarsening
-    the mesh: the value stays a faithfully resolved integral and the larger
-    tail bound reports the loss honestly.
+    The full-line integral is a truncated core plus analytic tail
+    corrections.  When the node budget cannot reach the truncation point that
+    meets the tail tolerance, the integral is truncated earlier instead of
+    coarsening the mesh: the value stays a faithfully resolved integral and
+    the larger tail bound reports the loss honestly.
     """
-    mag_estimate = min(math.pi, math.sqrt(math.pi / phi0))
-    tol_abs = _FULL_TAIL_RTOL * mag_estimate
-    u_desired = max(2.0, (2.4 / (phi0 * phi0 * tol_abs)) ** 0.2)
-    points_per_panel = 8 if with_estimate else 5
-    panels_affordable = max(2, max_nodes // points_per_panel - 8)
-    u_affordable = math.sqrt(panels_affordable * cap / phi0)
-    exceeded = u_affordable < u_desired
-    u_max = min(u_desired, u_affordable)
-    core, info, _ = _u_window_value(
-        phi0, u_max, cap, max_nodes=2**62, with_estimate=with_estimate
-    )
-    phase_edge = complex(math.cos(phi0 * u_max * u_max), math.sin(phi0 * u_max * u_max))
-    one_p = 1.0 + u_max * u_max
-    tail = phase_edge * (
-        1j / (2.0 * phi0 * u_max * one_p)
-        + (1.0 + 3.0 * u_max * u_max) / (4.0 * phi0 * phi0 * u_max**3 * one_p * one_p)
-    )
-    tail_bound = 2.0 * 1.19 / (phi0 * phi0 * u_max**5)
-    value = core + 2.0 * tail
-    return value, QuadratureInfo(info.nodes, info.error_estimate, tail_bound), exceeded
+    if not _is_symmetric(path):
+        raise ValueError(
+            "u-domain evaluation requires a symmetric path (equal legs); "
+            "use the t-domain for asymmetric windows"
+        )
+    phi0 = stationary_phase(path, species).raw
+    cap = config.phase_step_cap
+    tail_bound = 0.0
+    if config.window < path.tau * (1.0 - 1e-12):
+        frac = config.window / path.tau
+        u_max = frac / math.sqrt(1.0 - frac * frac)
+        j_val, err, nodes, exceeded = _u_value(
+            phi0, u_max, cap, config.max_nodes, with_estimate
+        )
+    else:
+        mag_estimate = min(math.pi, math.sqrt(math.pi / phi0))
+        tol_abs = _FULL_TAIL_RTOL * mag_estimate
+        u_desired = max(2.0, (2.4 / (phi0 * phi0 * tol_abs)) ** 0.2)
+        panels_affordable = max(2, config.max_nodes // _POINTS_PER_PANEL[with_estimate] - 8)
+        u_affordable = math.sqrt(panels_affordable * cap / phi0)
+        exceeded = u_affordable < u_desired
+        u_max = min(u_desired, u_affordable)
+        # the budget has already set u_max, so the core runs unbudgeted
+        core, err, nodes, _ = _u_value(phi0, u_max, cap, 2**62, with_estimate)
+        phase_edge = complex(
+            math.cos(phi0 * u_max * u_max), math.sin(phi0 * u_max * u_max)
+        )
+        one_p = 1.0 + u_max * u_max
+        tail = phase_edge * (
+            1j / (2.0 * phi0 * u_max * one_p)
+            + (1.0 + 3.0 * u_max * u_max) / (4.0 * phi0 * phi0 * u_max**3 * one_p * one_p)
+        )
+        tail_bound = 2.0 * 1.19 / (phi0 * phi0 * u_max**5)
+        j_val = core + 2.0 * tail
+    pref = time_sum_prefactor(species)
+    carrier = complex(math.cos(phi0), math.sin(phi0))
+    scale = abs(pref)
+    info = QuadratureInfo(nodes, scale * err, scale * tail_bound)
+    return pref * carrier * j_val, info, exceeded
 
 
 def _slit_phase_roots(l1, l2, tau, phases, mass):
@@ -240,53 +260,42 @@ def _slit_phase_roots(l1, l2, tau, phases, mass):
     return np.minimum(r1, r2), np.maximum(r1, r2)
 
 
-def _t_mesh(l1, l2, tau, t_lo, t_hi, cap, mass):
-    """Panel edges on [t_lo, t_hi] with analytic phase change <= cap per panel."""
-    phi_star = (mass / (2.0 * HBAR)) * (l1 + l2) ** 2 / tau
-    t_star = tau * l1 / (l1 + l2)
-
-    def phase(t):
-        return (mass / (2.0 * HBAR)) * (l1 * l1 / t + l2 * l2 / (tau - t))
-
-    def side(t_end, left):
-        span = phase(t_end) - phi_star
-        n_steps = int(math.ceil(span / cap))
-        ladder = phi_star + np.arange(n_steps + 1) * cap
-        lo_roots, hi_roots = _slit_phase_roots(l1, l2, tau, ladder, mass)
-        e = lo_roots if left else hi_roots
-        e[0] = t_star
-        e[-1] = t_end
-        return np.sort(e)
-
-    edges = np.unique(np.concatenate([side(t_lo, True), side(t_hi, False)]))
-    return _merge_envelope_edges(
-        edges, t_lo, t_hi, lambda t: max(min(t, tau - t), 1e-3 * tau)
-    )
-
-
-def _t_panel_count(l1, l2, tau, t_lo, t_hi, cap, mass):
-    phi_star = (mass / (2.0 * HBAR)) * (l1 + l2) ** 2 / tau
-
-    def phase(t):
-        return (mass / (2.0 * HBAR)) * (l1 * l1 / t + l2 * l2 / (tau - t))
-
-    span = (phase(t_lo) - phi_star) + (phase(t_hi) - phi_star)
-    return int(math.ceil(span / cap)) + 64
-
-
-def _t_window_value(path, t_lo, t_hi, cap, max_nodes, species, with_estimate=True):
+def _t_domain_value(path, config, species, with_estimate):
+    """Window centered on t*, with analytic phase change <= cap per panel."""
+    l1, l2, tau = path.l1, path.l2, path.tau
+    t_star = stationary_slit_time(path)
+    t_lo = t_star - 0.5 * config.window
+    t_hi = t_star + 0.5 * config.window
+    clearance = 1e-12 * tau
+    if t_lo <= clearance or t_hi >= tau - clearance:
+        raise SingularWindowError(
+            f"window [{t_lo:.3e}, {t_hi:.3e}] touches the endpoint singularities "
+            f"of (0, {tau:.3e}); only the u-domain full integral handles endpoints"
+        )
     m = species.mass
-    budget_exceeded = False
-    points_per_panel = 8 if with_estimate else 5
-    needed = points_per_panel * _t_panel_count(path.l1, path.l2, path.tau, t_lo, t_hi, cap, m)
-    if needed > max_nodes:
-        budget_exceeded = True
-        cap = cap * needed / max_nodes
-    edges = _t_mesh(path.l1, path.l2, path.tau, t_lo, t_hi, cap, m)
-    pref = time_sum_prefactor(species)
-    c1 = m * path.l1 * path.l1 / (2.0 * HBAR)
-    c2 = m * path.l2 * path.l2 / (2.0 * HBAR)
-    tau = path.tau
+    phi_star = (m / (2.0 * HBAR)) * (l1 + l2) ** 2 / tau
+
+    def phase_rise(t):
+        return (m / (2.0 * HBAR)) * (l1 * l1 / t + l2 * l2 / (tau - t)) - phi_star
+
+    # each side's ladder phi* + k*cap climbs from t* to the window edge
+    sides = ((t_lo, phase_rise(t_lo)), (t_hi, phase_rise(t_hi)))
+
+    def mesh(cap):
+        edges = []
+        for root, (t_end, rise) in enumerate(sides):
+            ladder = phi_star + np.arange(int(math.ceil(rise / cap)) + 1) * cap
+            e = _slit_phase_roots(l1, l2, tau, ladder, m)[root]
+            e[0] = t_star
+            e[-1] = t_end
+            edges.append(e)
+        return _merge_envelope_edges(
+            np.unique(np.concatenate(edges)), t_lo, t_hi,
+            lambda t: max(min(t, tau - t), 1e-3 * tau),
+        )
+
+    c1 = m * l1 * l1 / (2.0 * HBAR)
+    c2 = m * l2 * l2 / (2.0 * HBAR)
 
     def integrand_parts(t):
         t_rest = tau - t
@@ -301,18 +310,17 @@ def _t_window_value(path, t_lo, t_hi, cap, max_nodes, species, with_estimate=Tru
         im *= weight
         return re, im
 
-    val, err = _panel_integrate(integrand_parts, edges, with_estimate)
-    nodes = points_per_panel * (len(edges) - 1)
-    return pref * val, QuadratureInfo(nodes, abs(pref) * err), budget_exceeded
+    panel_count = int(math.ceil((sides[0][1] + sides[1][1]) / config.phase_step_cap)) + 64
+    val, err, nodes, exceeded = _graded_value(
+        panel_count, mesh, integrand_parts, config.phase_step_cap, config.max_nodes,
+        with_estimate,
+    )
+    pref = time_sum_prefactor(species)
+    return pref * val, QuadratureInfo(nodes, abs(pref) * err), exceeded
 
 
 def _is_symmetric(path):
     return abs(path.l1 - path.l2) <= _SYMMETRY_RTOL * (path.l1 + path.l2)
-
-
-def _combined_estimate(info):
-    est = 0.0 if math.isnan(info.error_estimate) else info.error_estimate
-    return est + info.tail_bound
 
 
 def evaluate_window(
@@ -323,130 +331,31 @@ def evaluate_window(
 ) -> tuple[ComplexAmplitude, QuadratureInfo]:
     """Windowed slit-time integral plus quadrature diagnostics.
 
-    The window is centered on the stationary crossing time.  In the
-    t-domain the window must keep positive clearance from the endpoint
-    singularities.  The u-domain route applies to symmetric paths
-    (L1 = L2) only; a window equal to the full duration selects the
-    truncated-tail full integral.  ``with_error_estimate=False`` skips the
-    embedded coarse rule (the estimate comes back nan), saving ~40% of the
-    integrand evaluations in bulk pattern computations.
+    The one entry point of the time sum.  The window is centered on the
+    stationary crossing time.  In the t-domain the window must keep
+    positive clearance from the endpoint singularities.  The u-domain route
+    applies to symmetric paths (L1 = L2) only; a window equal to the full
+    duration selects the truncated-tail full integral.
+    ``with_error_estimate=False`` skips the embedded coarse rule (the
+    estimate comes back nan), saving ~40% of the integrand evaluations in
+    bulk pattern computations.  A node budget too small for the requested
+    accuracy raises ``NodeBudgetError`` carrying the achieved amplitude and
+    its error estimate plus tail bound.
     """
-    tau = path.tau
-    if config.window > tau * (1.0 + 1e-12):
+    if config.window > path.tau * (1.0 + 1e-12):
         raise ValueError(
-            f"window {config.window} exceeds the path duration {tau}"
+            f"window {config.window} exceeds the path duration {path.tau}"
         )
     if config.domain is IntegrationDomain.U_DOMAIN:
-        if not _is_symmetric(path):
-            raise ValueError(
-                "u-domain evaluation requires a symmetric path (equal legs); "
-                "use the t-domain for asymmetric windows"
-            )
-        phi0 = stationary_phase(path, species).raw
-        pref = time_sum_prefactor(species)
-        carrier = complex(math.cos(phi0), math.sin(phi0))
-        if config.window >= tau * (1.0 - 1e-12):
-            j_val, info, exceeded = _u_full_value(
-                phi0, config.phase_step_cap, config.max_nodes, with_error_estimate
-            )
-        else:
-            frac = config.window / tau
-            u_max = frac / math.sqrt(1.0 - frac * frac)
-            j_val, info, exceeded = _u_window_value(
-                phi0, u_max, config.phase_step_cap, config.max_nodes, with_error_estimate
-            )
-        scale = abs(pref)
-        info = QuadratureInfo(
-            info.nodes, scale * info.error_estimate, scale * info.tail_bound
-        )
-        value = pref * carrier * j_val
-        amplitude = ComplexAmplitude.from_complex(value, UNIT_PROPAGATOR_1D)
-        if exceeded:
-            raise NodeBudgetError(
-                f"node budget {config.max_nodes} too small for the requested window",
-                achieved=amplitude,
-                error_estimate=_combined_estimate(info),
-            )
-        return amplitude, info
-
-    t_star = stationary_slit_time(path)
-    t_lo = t_star - 0.5 * config.window
-    t_hi = t_star + 0.5 * config.window
-    clearance = 1e-12 * tau
-    if t_lo <= clearance or t_hi >= tau - clearance:
-        raise SingularWindowError(
-            f"window [{t_lo:.3e}, {t_hi:.3e}] touches the endpoint singularities "
-            f"of (0, {tau:.3e}); only the u-domain full integral handles endpoints"
-        )
-    value, info, exceeded = _t_window_value(
-        path, t_lo, t_hi, config.phase_step_cap, config.max_nodes, species,
-        with_error_estimate,
-    )
+        domain_value = _u_domain_value
+    else:
+        domain_value = _t_domain_value
+    value, info, exceeded = domain_value(path, config, species, with_error_estimate)
     amplitude = ComplexAmplitude.from_complex(value, UNIT_PROPAGATOR_1D)
     if exceeded:
         raise NodeBudgetError(
             f"node budget {config.max_nodes} too small for the requested window",
             achieved=amplitude,
-            error_estimate=info.error_estimate,
+            error_estimate=info.error_estimate + info.tail_bound,
         )
     return amplitude, info
-
-
-def time_summed_amplitude(
-    path: TwoLegPath, config: TimeSumConfig, species: ParticleSpecies
-) -> ComplexAmplitude:
-    """Numerical slit-time integral over the configured window."""
-    return evaluate_window(path, config, species)[0]
-
-
-def full_timesum_u_domain(
-    phi0: float, max_nodes: int, species: ParticleSpecies
-) -> ComplexAmplitude:
-    """Full slit-time integral evaluated in the u-domain for a given phi0."""
-    if not (phi0 > 0.0 and math.isfinite(phi0)):
-        raise ValueError(f"phi0 must be positive and finite, got {phi0}")
-    if max_nodes < 16:
-        raise ValueError(f"max_nodes must be at least 16, got {max_nodes}")
-    j_val, info, exceeded = _u_full_value(phi0, math.pi / 4.0, max_nodes)
-    pref = time_sum_prefactor(species)
-    carrier = complex(math.cos(phi0), math.sin(phi0))
-    amplitude = ComplexAmplitude.from_complex(pref * carrier * j_val, UNIT_PROPAGATOR_1D)
-    if exceeded:
-        raise NodeBudgetError(
-            f"node budget {max_nodes} too small for phi0={phi0}",
-            achieved=amplitude,
-            error_estimate=abs(pref) * _combined_estimate(info),
-        )
-    return amplitude
-
-
-def convergence_study(
-    path: TwoLegPath,
-    windows,
-    species: ParticleSpecies,
-    *,
-    max_nodes: int = 30_000_000,
-    phase_step_cap: float = math.pi / 4.0,
-    domain: IntegrationDomain | str | None = None,
-) -> ConvergenceSeries:
-    """Windowed amplitudes for a strictly increasing list of windows.
-
-    With no explicit domain, symmetric paths use the u-domain (so the full
-    window is admissible) and asymmetric ones the t-domain.
-    """
-    windows = [float(w) for w in windows]
-    if not windows:
-        raise ValueError("windows must be non-empty")
-    if any(b <= a for a, b in zip(windows, windows[1:])):
-        raise ValueError("windows must be strictly increasing")
-    if domain is None:
-        domain = (
-            IntegrationDomain.U_DOMAIN if _is_symmetric(path) else IntegrationDomain.T_DOMAIN
-        )
-    amplitudes = []
-    for w in windows:
-        config = TimeSumConfig(
-            window=w, max_nodes=max_nodes, domain=domain, phase_step_cap=phase_step_cap
-        )
-        amplitudes.append(time_summed_amplitude(path, config, species))
-    return ConvergenceSeries(tuple(windows), tuple(amplitudes))

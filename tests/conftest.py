@@ -10,12 +10,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from matterslit import ELECTRON, free_propagator, SpaceTimeEvent
+from matterslit import ELECTRON, HBAR, TwoLegPath, free_propagator, SpaceTimeEvent
 
 
 @pytest.fixture
 def electron():
     return ELECTRON
+
+
+def symmetric_path(phi0, leg=1e-6):
+    """A symmetric two-leg path whose stationary phase is exactly phi0."""
+    tau = 2.0 * ELECTRON.mass * leg * leg / (HBAR * phi0)
+    return TwoLegPath(leg, leg, tau)
 
 
 def faddeeva_quadrature_oracle(z: complex) -> complex:

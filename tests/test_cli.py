@@ -135,7 +135,7 @@ class TestRunPhasediffAndPacket:
         assert record["difference_principal_rad"] == pytest.approx(-math.pi, abs=0.02)
         assert record["significant"] is True
 
-    def test_phasediff_sweep(self):
+    def test_phasediff_sweep(self, tmp_path):
         cfg = {
             "species": "electron",
             "slit_separation_m": 2.73e-7,
@@ -144,6 +144,19 @@ class TestRunPhasediffAndPacket:
         }
         envelope = run_phasediff(cfg)
         assert len(envelope["results"]["records"]) == 4
+        # a linspace sweep serializes like an explicit list: JSON booleans,
+        # and true/false in the CSV
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        json_out, csv_out = tmp_path / "out.json", tmp_path / "out.csv"
+        assert main(["phasediff", "--config", str(cfg_path), "--output", str(json_out),
+                     "--format", "json"]) == 0
+        assert main(["phasediff", "--config", str(cfg_path), "--output", str(csv_out)]) == 0
+        records = json.loads(json_out.read_text())["results"]["records"]
+        assert all(type(r["significant"]) is bool for r in records)
+        lines = csv_out.read_text().splitlines()
+        assert {line.rsplit(",", 1)[1] for line in lines[1:]} <= {"true", "false"}
+        assert len(lines) == 5
 
     def test_packet_rows(self):
         cfg = {
@@ -208,10 +221,33 @@ class TestMainEntryPoint:
         assert b"\r" not in raw  # LF only
         assert raw.decode("utf-8").endswith("\n")
 
-    def test_exit_code_validation_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("pattern", lambda cfg: {"species": "electron"}),
+            ("pattern", lambda cfg: cfg["screen"].update(points_y_m=[1e-7, None])),
+            ("pattern", lambda cfg: cfg.update(
+                methods=["intuitive"], geometry={**cfg["geometry"], "source_y_m": math.nan},
+            )),
+            ("converge", lambda cfg: cfg.update(windows_s=[1e-13, None])),
+            ("phasediff", lambda cfg: cfg["phasediff"].update(length_m={"linspace": 5})),
+            ("phasediff", lambda cfg: cfg["phasediff"].update(length_m=10**400)),
+            ("packet", lambda cfg: {
+                "k0_rad_per_m": 8.64e10, "delta_k_rad_per_m": 1.0e8, "x_min_m": -2e-8,
+                "x_max_m": 2e-8, "x_count": 21, "times_s": [0.0, None],
+            }),
+        ],
+        ids=[
+            "missing_fields", "null_screen_point", "nan_source_y", "null_window",
+            "linspace_not_a_list", "int_beyond_float", "null_time",
+        ],
+    )
+    def test_exit_code_validation_error(self, tmp_path, capsys, command, edit):
+        cfg = fig4_preset() if command == "converge" else fig6_preset()
+        cfg = edit(cfg) or cfg
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"species": "electron"}))  # missing everything
-        assert main(["pattern", "--config", str(bad)]) == 2
+        bad.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(bad)]) == 2
         assert "invalid configuration" in capsys.readouterr().err
 
     def test_exit_code_budget_error(self, tmp_path, capsys):

@@ -6,14 +6,15 @@ import pytest
 
 from matterslit import (
     ELECTRON,
+    TimeSumConfig,
+    evaluate_window,
     faddeeva_w,
-    full_timesum_u_domain,
     normalized_argument,
     time_sum_prefactor,
     timesum_asymptotic,
     timesum_closed_form,
 )
-from conftest import faddeeva_oracle_grid, faddeeva_quadrature_oracle
+from conftest import faddeeva_oracle_grid, faddeeva_quadrature_oracle, symmetric_path
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -105,7 +106,9 @@ class TestTimesumClosedForm:
     def test_agrees_with_quadrature(self):
         for phi0 in (50.0, 200.0, 1000.0):
             closed = timesum_closed_form(phi0, ELECTRON).as_complex()
-            summed = full_timesum_u_domain(phi0, 10_000_000, ELECTRON).as_complex()
+            path = symmetric_path(phi0)
+            config = TimeSumConfig(window=path.tau, domain="u_domain", max_nodes=10_000_000)
+            summed = evaluate_window(path, config, ELECTRON)[0].as_complex()
             assert abs(summed - closed) / abs(closed) < 1e-3
 
     def test_no_overflow_at_huge_phase(self):

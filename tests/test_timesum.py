@@ -7,28 +7,44 @@ from scipy.integrate import quad
 
 from matterslit import (
     ELECTRON,
-    HBAR,
     IntegrationDomain,
     NodeBudgetError,
     SingularWindowError,
     TimeSumConfig,
     TwoLegPath,
-    convergence_study,
     evaluate_window,
-    full_timesum_u_domain,
     stationary_slit_time,
     time_sum_prefactor,
-    time_summed_amplitude,
     timesum_closed_form,
     two_step_amplitude,
 )
+from matterslit.cli import fig4_preset, run_converge
 from matterslit.timesum import _panel_integrate
+from conftest import symmetric_path
 
 
-def symmetric_path(phi0, leg=1e-6):
-    """A symmetric two-leg path whose stationary phase is exactly phi0."""
-    tau = 2.0 * ELECTRON.mass * leg * leg / (HBAR * phi0)
-    return TwoLegPath(leg, leg, tau)
+def amplitude(path, window, domain, max_nodes=2_000_000):
+    cfg = TimeSumConfig(window=window, domain=domain, max_nodes=max_nodes)
+    return evaluate_window(path, cfg, ELECTRON)[0]
+
+
+def full_integral(phi0, max_nodes):
+    """The full slit-time integral: a u-domain window of the whole duration."""
+    path = symmetric_path(phi0)
+    return amplitude(path, path.tau, "u_domain", max_nodes)
+
+
+def converge_config(path, windows):
+    """A ``converge`` config for one path, windows and defaults as in fig4."""
+    cfg = fig4_preset()
+    cfg["path"] = {"leg1_m": path.l1, "leg2_m": path.l2, "duration_s": path.tau}
+    cfg["windows_s"] = windows
+    return cfg
+
+
+def converge_series(path, windows):
+    rows = run_converge(converge_config(path, windows))["results"]["series"]
+    return [complex(r["re"], r["im"]) for r in rows]
 
 
 class TestConfigValidation:
@@ -53,13 +69,13 @@ class TestConfigValidation:
         path = symmetric_path(100.0)
         cfg = TimeSumConfig(window=1.5 * path.tau, domain="u_domain")
         with pytest.raises(ValueError):
-            time_summed_amplitude(path, cfg, ELECTRON)
+            evaluate_window(path, cfg, ELECTRON)
 
 
 class TestFullUDomain:
     @pytest.mark.parametrize("phi0", [50.0, 200.0, 1000.0, 5000.0])
     def test_against_closed_form(self, phi0):
-        summed = full_timesum_u_domain(phi0, 10_000_000, ELECTRON).as_complex()
+        summed = full_integral(phi0, 10_000_000).as_complex()
         closed = timesum_closed_form(phi0, ELECTRON).as_complex()
         assert abs(summed - closed) / abs(closed) < 1e-4
 
@@ -71,7 +87,7 @@ class TestFullUDomain:
         u_edge = 2.0
         fraction = u_edge / math.sqrt(1 + u_edge * u_edge)
         cfg = TimeSumConfig(window=fraction * path.tau, domain="u_domain")
-        ours = time_summed_amplitude(path, cfg, ELECTRON).as_complex()
+        ours = evaluate_window(path, cfg, ELECTRON)[0].as_complex()
         re = quad(lambda u: math.cos(phi0 * u * u) / (1 + u * u), 0, u_edge,
                   limit=400, epsabs=1e-13)[0]
         im = quad(lambda u: math.sin(phi0 * u * u) / (1 + u * u), 0, u_edge,
@@ -84,27 +100,40 @@ class TestFullUDomain:
         # phi0 -> inf: integral -> sqrt(pi/phi0) exp(i pi/4), on top of the
         # prefactor and carrier
         phi0 = 1e5
-        ours = full_timesum_u_domain(phi0, 30_000_000, ELECTRON).as_complex()
+        ours = full_integral(phi0, 30_000_000).as_complex()
         pref = time_sum_prefactor(ELECTRON)
         limit = pref * cmath.exp(1j * phi0) * math.sqrt(math.pi / phi0) * cmath.exp(1j * math.pi / 4)
         assert abs(ours - limit) / abs(limit) < 1.0 / phi0**0.5
 
     def test_domain_validation(self):
+        # a non-positive duration (phi0 <= 0) and a budget under 16 nodes
+        # are refused before any quadrature runs
         with pytest.raises(ValueError):
-            full_timesum_u_domain(-1.0, 1000, ELECTRON)
+            TwoLegPath(1e-6, 1e-6, -1e-12)
         with pytest.raises(ValueError):
-            full_timesum_u_domain(100.0, 4, ELECTRON)
+            TimeSumConfig(window=symmetric_path(100.0).tau, domain="u_domain", max_nodes=4)
 
     def test_budget_error_carries_achieved_estimate(self):
         # the early-truncated best effort must stay within its own carried
         # error bound of the true value
         with pytest.raises(NodeBudgetError) as excinfo:
-            full_timesum_u_domain(5.0e4, 1000, ELECTRON)
+            full_integral(5.0e4, 1000)
         err = excinfo.value
         assert err.achieved is not None
         assert err.error_estimate > 0.0
         closed = timesum_closed_form(5.0e4, ELECTRON).as_complex()
         assert abs(err.achieved.as_complex() - closed) <= 1.05 * err.error_estimate
+
+
+    @pytest.mark.parametrize("domain", ["u_domain", "t_domain"])
+    def test_skipped_estimate_stays_nan_over_budget(self, domain):
+        # without the embedded rule there is no estimate to report, in
+        # either domain; a zero would claim an exact result
+        path = symmetric_path(400.0)
+        cfg = TimeSumConfig(window=0.3 * path.tau, domain=domain, max_nodes=16)
+        with pytest.raises(NodeBudgetError) as excinfo:
+            evaluate_window(path, cfg, ELECTRON, with_error_estimate=False)
+        assert math.isnan(excinfo.value.error_estimate)
 
 
 class TestWindowedEvaluation:
@@ -116,8 +145,8 @@ class TestWindowedEvaluation:
                               max_nodes=20_000_000)
         u_cfg = TimeSumConfig(window=fraction * path.tau, domain="u_domain",
                               max_nodes=20_000_000)
-        t_val = time_summed_amplitude(path, t_cfg, ELECTRON).as_complex()
-        u_val = time_summed_amplitude(path, u_cfg, ELECTRON).as_complex()
+        t_val = evaluate_window(path, t_cfg, ELECTRON)[0].as_complex()
+        u_val = evaluate_window(path, u_cfg, ELECTRON)[0].as_complex()
         assert abs(t_val - u_val) / abs(u_val) < 1e-4
 
     def test_windowed_value_against_brute_quadrature(self):
@@ -126,7 +155,7 @@ class TestWindowedEvaluation:
         path = symmetric_path(40.0)
         window = 0.5 * path.tau
         cfg = TimeSumConfig(window=window, domain="t_domain")
-        ours = time_summed_amplitude(path, cfg, ELECTRON).as_complex()
+        ours = evaluate_window(path, cfg, ELECTRON)[0].as_complex()
 
         t_star = stationary_slit_time(path)
         lo, hi = t_star - window / 2, t_star + window / 2
@@ -142,7 +171,7 @@ class TestWindowedEvaluation:
     def test_vanishing_window_matches_stationary_integrand(self):
         path = symmetric_path(500.0)
         cfg = TimeSumConfig(window=1e-7 * path.tau, domain="t_domain")
-        amp = time_summed_amplitude(path, cfg, ELECTRON)
+        amp = evaluate_window(path, cfg, ELECTRON)[0]
         at_star = two_step_amplitude(path, stationary_slit_time(path), ELECTRON)
         assert amp.argument() == pytest.approx(at_star.argument(), abs=1e-6)
 
@@ -150,24 +179,24 @@ class TestWindowedEvaluation:
         path = symmetric_path(200.0)
         cfg = TimeSumConfig(window=path.tau, domain="t_domain")
         with pytest.raises(SingularWindowError):
-            time_summed_amplitude(path, cfg, ELECTRON)
+            evaluate_window(path, cfg, ELECTRON)
         u_cfg = TimeSumConfig(window=path.tau, domain="u_domain")
         closed = timesum_closed_form(200.0, ELECTRON).as_complex()
-        val = time_summed_amplitude(path, u_cfg, ELECTRON).as_complex()
+        val = evaluate_window(path, u_cfg, ELECTRON)[0].as_complex()
         assert abs(val - closed) / abs(closed) < 1e-4
 
     def test_u_domain_rejects_asymmetric_paths(self):
         path = TwoLegPath(1e-6, 1.5e-6, 1e-12)
         cfg = TimeSumConfig(window=0.5 * path.tau, domain="u_domain")
         with pytest.raises(ValueError):
-            time_summed_amplitude(path, cfg, ELECTRON)
+            evaluate_window(path, cfg, ELECTRON)
 
     def test_asymmetric_t_domain_window(self):
         # asymmetric path against brute quadrature
         path = TwoLegPath(0.8e-6, 1.3e-6, 1.1e-12)
         window = 0.25 * path.tau
         cfg = TimeSumConfig(window=window, domain="t_domain")
-        ours = time_summed_amplitude(path, cfg, ELECTRON).as_complex()
+        ours = evaluate_window(path, cfg, ELECTRON)[0].as_complex()
         t_star = stationary_slit_time(path)
 
         def f(t):
@@ -210,19 +239,20 @@ class TestWindowedEvaluation:
 
 
 class TestConvergenceStudy:
+    """The window loop of ``converge`` over ``evaluate_window``."""
+
     def test_single_window_matches_direct_call(self):
         path = symmetric_path(400.0)
-        cfg = TimeSumConfig(window=0.4 * path.tau, domain="u_domain")
-        direct = time_summed_amplitude(path, cfg, ELECTRON)
-        series = convergence_study(path, [0.4 * path.tau], ELECTRON)
-        assert series.amplitudes[0].as_complex() == direct.as_complex()
+        direct = amplitude(path, 0.4 * path.tau, "u_domain", 30_000_000)
+        (series,) = converge_series(path, [0.4 * path.tau])
+        assert series == direct.as_complex()
 
     def test_requires_increasing_windows(self):
         path = symmetric_path(400.0)
-        with pytest.raises(ValueError):
-            convergence_study(path, [0.4 * path.tau, 0.2 * path.tau], ELECTRON)
-        with pytest.raises(ValueError):
-            convergence_study(path, [], ELECTRON)
+        with pytest.raises(ValueError, match="windows_s"):
+            run_converge(converge_config(path, [0.4 * path.tau, 0.2 * path.tau]))
+        with pytest.raises(ValueError, match="windows_s"):
+            run_converge(converge_config(path, []))
 
     def test_refinement_approaches_closed_form(self):
         # beyond the first Fresnel zone the deviation from the closed form
@@ -233,25 +263,22 @@ class TestConvergenceStudy:
         u_zone = math.sqrt(math.pi / phi0)
         w_zone = path.tau * u_zone / math.sqrt(1 + u_zone * u_zone)
         windows = [min(w * w_zone, 0.95 * path.tau) for w in (2.0, 4.0, 8.0, 16.0, 32.0)]
-        series = convergence_study(path, windows, ELECTRON)
         closed = timesum_closed_form(phi0, ELECTRON).as_complex()
-        deviations = [abs(a.as_complex() - closed) for a in series.amplitudes]
+        deviations = [abs(a - closed) for a in converge_series(path, windows)]
         assert all(b < a for a, b in zip(deviations, deviations[1:]))
 
     def test_order_independence_of_results(self):
         # evaluating windows separately gives the same amplitudes as the study
         path = symmetric_path(600.0)
         windows = [0.2 * path.tau, 0.5 * path.tau, 0.8 * path.tau]
-        series = convergence_study(path, windows, ELECTRON)
-        for w, amp in zip(reversed(windows), reversed(series.amplitudes)):
-            cfg = TimeSumConfig(window=w, domain="u_domain", max_nodes=30_000_000)
-            alone = time_summed_amplitude(path, cfg, ELECTRON)
-            assert alone.as_complex() == amp.as_complex()
+        series = converge_series(path, windows)
+        for w, amp in zip(reversed(windows), reversed(series)):
+            alone = amplitude(path, w, "u_domain", 30_000_000)
+            assert alone.as_complex() == amp
 
     def test_series_invariants(self):
-        from matterslit import ConvergenceSeries, ComplexAmplitude
-
-        with pytest.raises(ValueError):
-            ConvergenceSeries((1.0, 2.0), (ComplexAmplitude(1.0, 0.0),))
-        with pytest.raises(ValueError):
-            ConvergenceSeries((2.0, 1.0), tuple(ComplexAmplitude(1.0, 0.0) for _ in range(2)))
+        # windows must be a strictly increasing list of finite numbers
+        path = symmetric_path(400.0)
+        for windows in ([2e-13, 2e-13], [2e-13, 1e-13], [None], 1e-13):
+            with pytest.raises(ValueError, match="windows_s"):
+                run_converge(converge_config(path, windows))
