@@ -15,13 +15,14 @@ a result envelope carrying an echo of the effective config and a provenance
 block (constants, node counts, achieved error estimates, version), so a
 serialized envelope can be re-run bit-identically from its own echo.
 
-Exit codes: 0 success, 2 validation error, 3 numeric-convergence failure,
-4 I/O error.
+Exit codes: 0 success, 2 validation error, 3 numeric-convergence failure
+(including a NaN or infinite result, which is never written), 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -38,7 +39,7 @@ from .doubleslit import (
     leg_lengths,
     pattern,
 )
-from .errors import NodeBudgetError
+from .errors import NodeBudgetError, NonFiniteResultError
 from .faddeeva import faddeeva_w, time_sum_prefactor
 from .kinematics import (
     ELECTRON_MASS,
@@ -57,6 +58,10 @@ _CONSTANTS_BLOCK = {
     "planck_h_J_s": PLANCK_H,
     "electron_mass_kg": ELECTRON_MASS,
 }
+
+#: screen points may lie at most this many times the largest geometry
+#: length from the axis; farther out the path phases lose all precision
+_SCREEN_REACH = 1e3
 
 # ---------------------------------------------------------------------------
 # presets
@@ -215,18 +220,30 @@ def _parse_timing(cfg: dict) -> Timing:
     return Timing(convention, _get(t, "speed_m_per_s", "timing.", float))
 
 
-def _parse_screen(cfg: dict) -> np.ndarray:
+def _within_reach(y: float, reach: float, field: str) -> float:
+    if abs(y) > reach:
+        raise ValueError(
+            f"{field}: {y!r} m lies farther from the axis than {reach!r} m, "
+            f"{_SCREEN_REACH:g} times the largest geometry length"
+        )
+    return y
+
+
+def _parse_screen(cfg: dict, reach: float = math.inf) -> np.ndarray:
+    """Screen points, each no farther than ``reach`` from the axis."""
     s = _get(cfg, "screen", "", dict)
     if "points_y_m" in s:
         pts = _numbers(s["points_y_m"], "screen.points_y_m")
         if not pts:
             raise ValueError("screen.points_y_m: must be non-empty")
+        for i, y in enumerate(pts):
+            _within_reach(y, reach, f"screen.points_y_m[{i}]")
         return np.asarray(pts)
     count = _get(s, "count", "screen.", int)
     if count < 2:
         raise ValueError(f"screen.count: need at least 2 grid points, got {count}")
-    lo = _get(s, "min_y_m", "screen.", float)
-    hi = _get(s, "max_y_m", "screen.", float)
+    lo = _within_reach(_get(s, "min_y_m", "screen.", float), reach, "screen.min_y_m")
+    hi = _within_reach(_get(s, "max_y_m", "screen.", float), reach, "screen.max_y_m")
     if not hi > lo:
         raise ValueError("screen.max_y_m: must exceed screen.min_y_m")
     return np.linspace(lo, hi, count)
@@ -266,6 +283,8 @@ def _parse_sweep_values(cfg: dict, key: str, path: str = "") -> list[float]:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return [_number(value, field)]
     if isinstance(value, list):
+        if not value:
+            raise ValueError(f"{field}: must be non-empty")
         return _numbers(value, field)
     if isinstance(value, dict) and "linspace" in value:
         spec = value["linspace"]
@@ -274,6 +293,8 @@ def _parse_sweep_values(cfg: dict, key: str, path: str = "") -> list[float]:
             raise ValueError(f"{field}: expected [start, stop, count], got {spec!r}")
         start, stop = _numbers(spec[:2], field)
         count = _number(spec[2], f"{field}[2]", int)
+        if count < 1:
+            raise ValueError(f"{field}[2]: need at least 1 point, got {count}")
         # Python floats, so that every record serializes as plain JSON
         return np.linspace(start, stop, count).tolist()
     raise ValueError(f"{field}: expected a number, list, or {{'linspace': ...}}")
@@ -302,7 +323,8 @@ def run_pattern(config: dict) -> dict:
     geometry = _parse_geometry(config)
     timing = _parse_timing(config)
     methods = _parse_methods(config)
-    screen = _parse_screen(config)
+    reach = _SCREEN_REACH * max(abs(v) for v in dataclasses.astuple(geometry))
+    screen = _parse_screen(config, reach)
     samples = _get(config, "samples_per_slit", "", int, required=False, default=32)
     needs_ts = Method.TIME_SUMMED in methods
     ts_config = _parse_timesum(config, required=needs_ts)
@@ -482,6 +504,8 @@ def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NonFiniteResultError(f"a result is {value!r}; nothing was written")
         return f"{value:.17g}"
     return str(value)
 
@@ -509,7 +533,10 @@ def _csv_rows(kind: str, envelope: dict):
 
 def _write_output(kind: str, envelope: dict, fmt: str, path: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NonFiniteResultError(f"{exc}; nothing was written") from None
     else:
         lines = [",".join(_format_cell(c) for c in row) for row in _csv_rows(kind, envelope)]
         text = "\n".join(lines) + "\n"
@@ -595,7 +622,7 @@ def main(argv=None) -> int:
     except NodeBudgetError as exc:
         print(f"matterslit: convergence failure: {exc}", file=sys.stderr)
         return 3
-    except OverflowError as exc:
+    except (OverflowError, NonFiniteResultError) as exc:
         print(f"matterslit: numeric range error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -22,3 +22,11 @@ class NodeBudgetError(RuntimeError):
         super().__init__(message)
         self.achieved = achieved
         self.error_estimate = error_estimate
+
+
+class NonFiniteResultError(ArithmeticError):
+    """A value about to be written out is NaN or infinite.
+
+    Raised before any output is written, so that a run never reports
+    success together with a non-finite number.
+    """

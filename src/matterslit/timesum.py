@@ -31,7 +31,12 @@ u-domain (symmetric paths)
     (bounded by 1.19 / (phi0^2 U^5) per side) is negligible, with the two
     boundary terms added back analytically.
 
-Node placement is deterministic, so repeated runs are bit-identical.
+Both meshes are streamed: each domain yields its panel edges straight from
+the closed-form ladder in blocks of at most ``_BLOCK_PANELS`` ladder steps,
+and the quadrature reduces one block at a time.  Memory is therefore
+bounded by the block size, whatever the node count, and the partial sums
+are grouped by block.  Node placement and grouping are deterministic, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -55,7 +60,10 @@ from .propagator import (
 
 _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
 _GL3_X, _GL3_W = np.polynomial.legendre.leggauss(3)
-_CHUNK_PANELS = 400_000  # keeps transient arrays around ~30 MB
+#: ladder steps per edge block: a 5-point integrand array of a block stays
+#: near 40 KB, below glibc's 128 KiB mmap threshold, so the per-block
+#: temporaries are reused heap memory rather than fresh page mappings
+_BLOCK_PANELS = 1024
 #: nodes per panel: GL5, plus the embedded GL3 when the error is estimated
 _POINTS_PER_PANEL = {True: 8, False: 5}
 
@@ -105,22 +113,26 @@ class QuadratureInfo:
     tail_bound: float = 0.0  # absolute truncation bound (full u-integral only)
 
 
-def _panel_integrate(f_parts, edges, with_estimate=True):
-    """Composite fixed-order Gauss-Legendre over consecutive panels.
+def _panel_integrate(f_parts, blocks, with_estimate=True):
+    """Composite fixed-order Gauss-Legendre over a stream of edge blocks.
 
+    ``blocks`` yields consecutive ascending edge arrays; each block's first
+    edge is the previous block's last, so together they tile one interval.
+    The meshes of this module make blocks of at most ``_BLOCK_PANELS``
+    ladder panels plus the few envelope edges that fall among them, so the
+    temporaries are bounded by the block size whatever the node count.
     ``f_parts(pts)`` returns the real and imaginary parts of the integrand as
     separate float arrays, which keeps the hot path in real arithmetic.
-    Returns the 5-point value and |GL5 - GL3| as an embedded error estimate
-    (nan when ``with_estimate`` is off).  Chunked to bound memory; chunk
-    boundaries are fixed by ``_CHUNK_PANELS`` so the summation order is
-    reproducible.
+    Returns the 5-point value, |GL5 - GL3| as an embedded error estimate
+    (nan when ``with_estimate`` is off) and the number of panels.  The
+    partial sums are grouped by block, and the blocks are fixed by the
+    mesh, so the summation order is reproducible.
     """
     sums = np.zeros(4)  # re5, im5, re3, im3
-    n_panels = len(edges) - 1
-    for start in range(0, n_panels, _CHUNK_PANELS):
-        stop = min(start + _CHUNK_PANELS, n_panels)
-        lo = edges[start:stop]
-        hi = edges[start + 1 : stop + 1]
+    panels = 0
+    for edges in blocks:
+        lo = edges[:-1]
+        hi = edges[1:]
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         re, im = f_parts(mid[:, None] + half[:, None] * _GL5_X[None, :])
@@ -130,23 +142,41 @@ def _panel_integrate(f_parts, edges, with_estimate=True):
             re, im = f_parts(mid[:, None] + half[:, None] * _GL3_X[None, :])
             sums[2] += (re @ _GL3_W) @ half
             sums[3] += (im @ _GL3_W) @ half
+        panels += len(half)
     total5 = complex(sums[0], sums[1])
     if not with_estimate:
-        return total5, math.nan
-    return total5, abs(total5 - complex(sums[2], sums[3]))
+        return total5, math.nan, panels
+    return total5, abs(total5 - complex(sums[2], sums[3])), panels
 
 
-def _merge_envelope_edges(edges, lo, hi, scale):
-    """Add slowly-spaced edges so the non-oscillatory envelope is resolved."""
+def _envelope_edges(lo, hi, scale):
+    """Slowly-spaced edges from lo to hi that resolve the non-oscillatory envelope."""
     env = [lo]
     while env[-1] < hi:
         env.append(env[-1] + 0.25 * scale(env[-1]))
     env[-1] = hi
-    return np.unique(np.concatenate([edges, np.asarray(env)]))
+    return np.asarray(env)
+
+
+def _edge_blocks(n_steps, ladder_edges, envelope):
+    """The mesh as edge blocks of at most ``_BLOCK_PANELS`` ladder steps.
+
+    ``ladder_edges(k)`` gives the ascending phase ladder at the indices ``k``
+    of 0..n_steps; ``envelope`` is a short ascending array with the same
+    first and last edge.  Consecutive blocks share their boundary edge, each
+    envelope edge joins the block it falls in, and repeated edges are dropped
+    per block, so the panels are those of the sorted union of both ladders.
+    """
+    taken = 0
+    for start in range(0, n_steps, _BLOCK_PANELS):
+        ladder = ladder_edges(np.arange(start, min(start + _BLOCK_PANELS, n_steps) + 1))
+        end = int(np.searchsorted(envelope, ladder[-1], side="right"))
+        yield np.unique(np.concatenate([ladder, envelope[taken:end]]))
+        taken = end
 
 
 def _graded_value(panel_count, mesh, integrand_parts, cap, max_nodes, with_estimate):
-    """Panel quadrature over ``mesh(cap)`` within a node budget.
+    """Panel quadrature over the blocks of ``mesh(cap)`` within a node budget.
 
     ``panel_count`` is the number of panels the mesh needs at the requested
     phase cap.  When those panels would exceed ``max_nodes``, the cap is
@@ -159,9 +189,8 @@ def _graded_value(panel_count, mesh, integrand_parts, cap, max_nodes, with_estim
     exceeded = needed > max_nodes
     if exceeded:
         cap = cap * needed / max_nodes
-    edges = mesh(cap)
-    value, err = _panel_integrate(integrand_parts, edges, with_estimate)
-    return value, err, points_per_panel * (len(edges) - 1), exceeded
+    value, err, panels = _panel_integrate(integrand_parts, mesh(cap), with_estimate)
+    return value, err, points_per_panel * panels, exceeded
 
 
 def _u_value(phi0, u_max, cap, max_nodes, with_estimate):
@@ -169,9 +198,14 @@ def _u_value(phi0, u_max, cap, max_nodes, with_estimate):
 
     def mesh(cap):
         n_steps = int(math.ceil(phi0 * u_max * u_max / cap))
-        edges = np.sqrt(np.arange(n_steps + 1) * (cap / phi0))
-        edges[-1] = u_max
-        return _merge_envelope_edges(edges, 0.0, u_max, lambda u: 1.0 + u)
+
+        def ladder_edges(k):
+            edges = np.sqrt(k * (cap / phi0))
+            edges[k == n_steps] = u_max
+            return edges
+
+        envelope = _envelope_edges(0.0, u_max, lambda u: 1.0 + u)
+        return _edge_blocks(n_steps, ladder_edges, envelope)
 
     def integrand_parts(u):
         envelope = u * u
@@ -279,20 +313,31 @@ def _t_domain_value(path, config, species, with_estimate):
         return (m / (2.0 * HBAR)) * (l1 * l1 / t + l2 * l2 / (tau - t)) - phi_star
 
     # each side's ladder phi* + k*cap climbs from t* to the window edge
-    sides = ((t_lo, phase_rise(t_lo)), (t_hi, phase_rise(t_hi)))
+    rises = (phase_rise(t_lo), phase_rise(t_hi))
 
     def mesh(cap):
-        edges = []
-        for root, (t_end, rise) in enumerate(sides):
-            ladder = phi_star + np.arange(int(math.ceil(rise / cap)) + 1) * cap
-            e = _slit_phase_roots(l1, l2, tau, ladder, m)[root]
-            e[0] = t_star
-            e[-1] = t_end
-            edges.append(e)
-        return _merge_envelope_edges(
-            np.unique(np.concatenate(edges)), t_lo, t_hi,
-            lambda t: max(min(t, tau - t), 1e-3 * tau),
+        n_lo, n_hi = (int(math.ceil(rise / cap)) for rise in rises)
+        n_steps = n_lo + n_hi + 1
+
+        def ladder_edges(j):
+            # j = 0..n_lo runs the lower-root ladder backwards, from t_lo
+            # (k = n_lo) to t* (k = 0); j = n_lo+1..n_steps runs the
+            # upper-root ladder from t* to t_hi.  t* comes twice, and its
+            # block drops the repeat
+            k = j - n_lo
+            upper = k > 0
+            k = np.where(upper, k - 1, -k)
+            lower_root, upper_root = _slit_phase_roots(l1, l2, tau, phi_star + k * cap, m)
+            edges = np.where(upper, upper_root, lower_root)
+            edges[k == 0] = t_star
+            edges[j == 0] = t_lo
+            edges[j == n_steps] = t_hi
+            return edges
+
+        envelope = _envelope_edges(
+            t_lo, t_hi, lambda t: max(min(t, tau - t), 1e-3 * tau)
         )
+        return _edge_blocks(n_steps, ladder_edges, envelope)
 
     c1 = m * l1 * l1 / (2.0 * HBAR)
     c2 = m * l2 * l2 / (2.0 * HBAR)
@@ -310,7 +355,7 @@ def _t_domain_value(path, config, species, with_estimate):
         im *= weight
         return re, im
 
-    panel_count = int(math.ceil((sides[0][1] + sides[1][1]) / config.phase_step_cap)) + 64
+    panel_count = int(math.ceil((rises[0] + rises[1]) / config.phase_step_cap)) + 64
     val, err, nodes, exceeded = _graded_value(
         panel_count, mesh, integrand_parts, config.phase_step_cap, config.max_nodes,
         with_estimate,

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from matterslit import cli
 from matterslit.cli import (
     PRESETS,
     fig4_preset,
@@ -222,33 +223,63 @@ class TestMainEntryPoint:
         assert raw.decode("utf-8").endswith("\n")
 
     @pytest.mark.parametrize(
-        "command, edit",
+        "command, edit, field",
         [
-            ("pattern", lambda cfg: {"species": "electron"}),
-            ("pattern", lambda cfg: cfg["screen"].update(points_y_m=[1e-7, None])),
+            ("pattern", lambda cfg: {"species": "electron"}, "geometry"),
+            ("pattern", lambda cfg: cfg["screen"].update(points_y_m=[1e-7, None]),
+             "screen.points_y_m[1]"),
             ("pattern", lambda cfg: cfg.update(
                 methods=["intuitive"], geometry={**cfg["geometry"], "source_y_m": math.nan},
-            )),
-            ("converge", lambda cfg: cfg.update(windows_s=[1e-13, None])),
-            ("phasediff", lambda cfg: cfg["phasediff"].update(length_m={"linspace": 5})),
-            ("phasediff", lambda cfg: cfg["phasediff"].update(length_m=10**400)),
+            ), "geometry.source_y_m"),
+            ("pattern", lambda cfg: cfg.update(
+                methods=["intuitive"], screen={"points_y_m": [1e300, 0.0]},
+            ), "screen.points_y_m[0]"),
+            ("pattern", lambda cfg: cfg["screen"].update(min_y_m=-1.0), "screen.min_y_m"),
+            ("converge", lambda cfg: cfg.update(windows_s=[1e-13, None]), "windows_s[1]"),
+            ("phasediff", lambda cfg: cfg["phasediff"].update(length_m={"linspace": 5}),
+             "phasediff.length_m.linspace"),
+            ("phasediff", lambda cfg: cfg["phasediff"].update(length_m=10**400),
+             "phasediff.length_m"),
+            ("phasediff", lambda cfg: cfg["phasediff"].update(length_m=[]),
+             "phasediff.length_m"),
+            ("phasediff", lambda cfg: cfg["phasediff"].update(
+                length_m={"linspace": [3e-6, 3e-5, 0]},
+            ), "phasediff.length_m.linspace[2]"),
             ("packet", lambda cfg: {
                 "k0_rad_per_m": 8.64e10, "delta_k_rad_per_m": 1.0e8, "x_min_m": -2e-8,
                 "x_max_m": 2e-8, "x_count": 21, "times_s": [0.0, None],
-            }),
+            }, "times_s[1]"),
         ],
         ids=[
-            "missing_fields", "null_screen_point", "nan_source_y", "null_window",
-            "linspace_not_a_list", "int_beyond_float", "null_time",
+            "missing_fields", "null_screen_point", "nan_source_y", "screen_point_beyond_reach",
+            "screen_grid_beyond_reach", "null_window", "linspace_not_a_list",
+            "int_beyond_float", "empty_sweep_list", "empty_sweep_linspace", "null_time",
         ],
     )
-    def test_exit_code_validation_error(self, tmp_path, capsys, command, edit):
+    def test_exit_code_validation_error(self, tmp_path, capsys, command, edit, field):
         cfg = fig4_preset() if command == "converge" else fig6_preset()
         cfg = edit(cfg) or cfg
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         assert main([command, "--config", str(bad)]) == 2
-        assert "invalid configuration" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert f"{field}:" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_exit_code_non_finite_result(self, tmp_path, capsys, monkeypatch, fmt):
+        # a NaN that gets past validation fails the run before any output
+        def with_nan(config):
+            envelope = run_phasediff(config)
+            envelope["results"]["records"][0]["pi_value_rad"] = math.nan
+            return envelope
+
+        monkeypatch.setattr(cli, "run_phasediff", with_nan)
+        out = tmp_path / "out"
+        argv = ["phasediff", "--preset", "fig6", "--output", str(out), "--format", fmt]
+        assert main(argv) == 3
+        assert "numeric range error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_code_budget_error(self, tmp_path, capsys):
         cfg = fig4_preset()
