@@ -34,11 +34,7 @@ print(f"phi0 mod 2 pi = {np.mod(phi0, 2 * np.pi):.6f}  (aligned on pi)")
 
 windows = preset["windows_s"]
 amplitudes = [
-    evaluate_window(
-        path,
-        TimeSumConfig(window=w, max_nodes=preset["max_nodes"], domain=preset["domain"]),
-        ELECTRON,
-    )[0]
+    evaluate_window(path, TimeSumConfig(window=w, max_nodes=preset["max_nodes"]), ELECTRON)[0]
     for w in windows
 ]
 closed = timesum_closed_form(phi0, ELECTRON)

@@ -11,7 +11,7 @@ Modules:
     kinematics   constants, wavelengths, closed-form phases
     propagator   free and two-step propagators, stationary crossing time
     faddeeva     w(z) = exp(-z^2) erfc(-iz), closed-form and asymptotic time sums
-    timesum      phase-resolved quadrature of the slit-time integral
+    timesum      the slit-time integral over a window of crossing times
     wavepacket   Gaussian packet snapshots, group/phase velocity
     doubleslit   screen patterns and near-field phase records
     cli          presets, JSON configs, CSV/JSON result envelopes
@@ -54,12 +54,7 @@ from .faddeeva import (
     timesum_asymptotic,
     timesum_closed_form,
 )
-from .timesum import (
-    IntegrationDomain,
-    QuadratureInfo,
-    TimeSumConfig,
-    evaluate_window,
-)
+from .timesum import QuadratureInfo, TimeSumConfig, evaluate_window
 from .wavepacket import (
     WavePacketParams,
     group_velocity,
@@ -83,4 +78,4 @@ from .doubleslit import (
     pattern_from_amplitudes,
     transit_points,
 )
-from .errors import NodeBudgetError, SingularWindowError
+from .errors import NodeBudgetError, NonFiniteResultError

@@ -15,8 +15,9 @@ a result envelope carrying an echo of the effective config and a provenance
 block (constants, node counts, achieved error estimates, version), so a
 serialized envelope can be re-run bit-identically from its own echo.
 
-Exit codes: 0 success, 2 validation error, 3 numeric-convergence failure
-(including a NaN or infinite result, which is never written), 4 I/O error.
+Exit codes: 0 success, 2 validation error, 3 numeric failure (a node
+budget below the fixed rule, a NaN or infinite result, which is never
+written, or an array too large to allocate), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .kinematics import (
     de_broglie_wavelength,
 )
 from .propagator import TwoLegPath
-from .timesum import IntegrationDomain, TimeSumConfig, evaluate_window
+from .timesum import DOMAINS, TimeSumConfig, evaluate_window
 from .wavepacket import WavePacketParams, packet_amplitude
 
 _CONSTANTS_BLOCK = {
@@ -249,21 +250,33 @@ def _parse_screen(cfg: dict, reach: float = math.inf) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _parse_timesum(cfg: dict, required: bool) -> TimeSumConfig | None:
+def _route_fields(cfg: dict, path: str, default_domain: str) -> tuple[str, float]:
+    """``domain`` and ``phase_step_cap_rad``: validated and echoed, they steer nothing.
+
+    Every window takes the one route of ``timesum``; older configs that name
+    a route and a phase cap still run and reproduce their echo.
+    """
+    domain = _get(cfg, "domain", path, str, required=False, default=default_domain)
+    if domain not in DOMAINS:
+        raise ValueError(f"{path}domain: expected one of {list(DOMAINS)}, got {domain!r}")
+    cap = _get(cfg, "phase_step_cap_rad", path, float, required=False, default=math.pi / 4.0)
+    if not 0.0 < cap <= math.pi / 2.0:
+        raise ValueError(f"{path}phase_step_cap_rad: must lie in (0, pi/2], got {cap!r}")
+    return domain, cap
+
+
+def _parse_timesum(cfg: dict, required: bool) -> tuple[TimeSumConfig | None, float | None]:
+    """The time-sum config and the phase cap it echoes, or (None, None)."""
     ts = _get(cfg, "timesum", "", dict, required=required, default=None)
     if ts is None:
-        return None
-    return TimeSumConfig(
+        return None, None
+    domain, cap = _route_fields(ts, "timesum.", "t_domain")
+    config = TimeSumConfig(
         window=_get(ts, "window_s", "timesum.", float),
         max_nodes=_get(ts, "max_nodes", "timesum.", int, required=False, default=2_000_000),
-        domain=IntegrationDomain(
-            _get(ts, "domain", "timesum.", str, required=False, default="t_domain")
-        ),
-        phase_step_cap=_get(
-            ts, "phase_step_cap_rad", "timesum.", float,
-            required=False, default=math.pi / 4.0,
-        ),
+        domain=domain,
     )
+    return config, cap
 
 
 def _parse_methods(cfg: dict) -> list[Method]:
@@ -327,7 +340,7 @@ def run_pattern(config: dict) -> dict:
     screen = _parse_screen(config, reach)
     samples = _get(config, "samples_per_slit", "", int, required=False, default=32)
     needs_ts = Method.TIME_SUMMED in methods
-    ts_config = _parse_timesum(config, required=needs_ts)
+    ts_config, cap = _parse_timesum(config, required=needs_ts)
 
     patterns = {}
     for method in methods:
@@ -346,7 +359,7 @@ def run_pattern(config: dict) -> dict:
         provenance["timesum"] = {
             "window_s": ts_config.window,
             "max_nodes": ts_config.max_nodes,
-            "phase_step_cap_rad": ts_config.phase_step_cap,
+            "phase_step_cap_rad": cap,
             "nodes_per_integral_estimate": info.nodes,
             "error_estimate_per_integral": info.error_estimate,
             "integral_count": int(len(screen)) * 2 * samples,
@@ -370,20 +383,15 @@ def run_converge(config: dict) -> dict:
     windows = _numbers(_get(config, "windows_s", ""), "windows_s")
     if not windows or any(b <= a for a, b in zip(windows, windows[1:])):
         raise ValueError("windows_s: must be a non-empty strictly increasing list")
-    domain = IntegrationDomain(
-        _get(config, "domain", "", str, required=False, default="u_domain")
-    )
+    domain, _ = _route_fields(config, "", "u_domain")
     max_nodes = _get(config, "max_nodes", "", int, required=False, default=30_000_000)
-    cap = _get(
-        config, "phase_step_cap_rad", "", float, required=False, default=math.pi / 4.0
-    )
 
     prefactor = time_sum_prefactor(species)
     rows = []
     node_counts = []
     error_estimates = []
     for w in windows:
-        ts = TimeSumConfig(window=w, max_nodes=max_nodes, domain=domain, phase_step_cap=cap)
+        ts = TimeSumConfig(window=w, max_nodes=max_nodes, domain=domain)
         amp, info = evaluate_window(path, ts, species)
         z = amp.as_complex()
         zn = z / prefactor
@@ -401,7 +409,7 @@ def run_converge(config: dict) -> dict:
             }
         )
         node_counts.append(info.nodes)
-        error_estimates.append(info.error_estimate + info.tail_bound)
+        error_estimates.append(info.error_estimate)
     return _envelope(
         config,
         {"series": rows},
@@ -587,6 +595,8 @@ def _resolve_io(args, config: dict) -> tuple[str, str | None]:
     if fmt not in ("csv", "json"):
         raise ValueError(f"output.format: expected csv or json, got {fmt!r}")
     path = args.output if args.output is not None else out.get("path")
+    if path is not None and not isinstance(path, str):
+        raise ValueError(f"output.path: expected a string, got {path!r}")
     return fmt, path
 
 
@@ -624,6 +634,10 @@ def main(argv=None) -> int:
         return 3
     except (OverflowError, NonFiniteResultError) as exc:
         print(f"matterslit: numeric range error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # numpy refuses an oversized array before it allocates any of it
+        print(f"matterslit: out of memory: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"matterslit: invalid configuration: {exc}", file=sys.stderr)

@@ -250,9 +250,7 @@ def pattern(
             for j in range(len(pts)):
                 path = TwoLegPath(l1[j], float(l2[i, j]), tau)
                 try:
-                    amp, _ = evaluate_window(
-                        path, timesum_config, species, with_error_estimate=False
-                    )
+                    amp, _ = evaluate_window(path, timesum_config, species)
                 except NodeBudgetError as exc:
                     raise NodeBudgetError(
                         f"screen point y={screen_y[i]:.6e} m, transit y={pts[j]:.6e} m: {exc}",

@@ -1,21 +1,12 @@
 """Exception types shared across the simulation modules."""
 
 
-class SingularWindowError(ValueError):
-    """An integration window touches the slit-time endpoint singularities.
-
-    The slit-time integrand diverges like 1/sqrt(t) at t = 0 and t = tau.
-    Partial windows must keep positive clearance from both endpoints; the
-    full-range integral is only available through the u-domain transform,
-    which removes the endpoint singularities analytically.
-    """
-
-
 class NodeBudgetError(RuntimeError):
-    """A quadrature could not meet its accuracy target within ``max_nodes``.
+    """A time sum needs more nodes than its ``max_nodes`` budget allows.
 
-    Carries the best estimate that the affordable node count produced,
-    together with the error bound actually achieved.
+    The time sum uses a fixed rule, so the node count of a window is known
+    before it is evaluated.  The error carries the value that rule gives
+    all the same, together with its error estimate.
     """
 
     def __init__(self, message, achieved=None, error_estimate=None):
@@ -25,7 +16,7 @@ class NodeBudgetError(RuntimeError):
 
 
 class NonFiniteResultError(ArithmeticError):
-    """A value about to be written out is NaN or infinite.
+    """A computed value is NaN or infinite.
 
     Raised before any output is written, so that a run never reports
     success together with a non-finite number.

@@ -167,6 +167,11 @@ def stationary_phase(path: TwoLegPath, species: ParticleSpecies) -> PhaseValue:
     This is the minimum of the slit phase over crossing times, and equals the
     single-path matter phase pi (L1+L2)/lambda at the uniform speed
     (L1+L2)/tau, which is what makes it the right single-path weight.
+    Raises OverflowError when the phase exceeds the float range.
     """
     lp = path.total_length
-    return PhaseValue(species.mass * lp * lp / (2.0 * HBAR * path.tau))
+    denominator = 2.0 * HBAR * path.tau
+    raw = species.mass * lp * lp / denominator if denominator > 0.0 else math.inf
+    if not math.isfinite(raw):
+        raise OverflowError(f"the stationary phase of {path} is not finite")
+    return PhaseValue(raw)

@@ -249,11 +249,18 @@ class TestMainEntryPoint:
                 "k0_rad_per_m": 8.64e10, "delta_k_rad_per_m": 1.0e8, "x_min_m": -2e-8,
                 "x_max_m": 2e-8, "x_count": 21, "times_s": [0.0, None],
             }, "times_s[1]"),
+            # an integer path used to be opened as a file descriptor
+            ("phasediff", lambda cfg: cfg.update(output={"path": 1}), "output.path"),
+            ("phasediff", lambda cfg: cfg.update(output={"path": ["out.csv"]}), "output.path"),
+            ("converge", lambda cfg: cfg.update(domain="x_domain"), "domain"),
+            ("pattern", lambda cfg: cfg["timesum"].update(phase_step_cap_rad=2.0),
+             "timesum.phase_step_cap_rad"),
         ],
         ids=[
             "missing_fields", "null_screen_point", "nan_source_y", "screen_point_beyond_reach",
             "screen_grid_beyond_reach", "null_window", "linspace_not_a_list",
             "int_beyond_float", "empty_sweep_list", "empty_sweep_linspace", "null_time",
+            "output_path_int", "output_path_list", "unknown_domain", "phase_cap_too_large",
         ],
     )
     def test_exit_code_validation_error(self, tmp_path, capsys, command, edit, field):
@@ -282,13 +289,42 @@ class TestMainEntryPoint:
         assert not out.exists()
 
     def test_exit_code_budget_error(self, tmp_path, capsys):
+        # a partial window needs the 61 nodes of the fixed rule
         cfg = fig4_preset()
         cfg["max_nodes"] = 16
-        cfg["windows_s"] = cfg["windows_s"][-1:]
+        cfg["windows_s"] = cfg["windows_s"][:1]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["converge", "--config", str(cfg_path)]) == 3
         assert "convergence failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            # 2 hbar tau underflows, so the stationary phase is not finite
+            ("converge", lambda cfg: cfg.update(
+                path={**cfg["path"], "duration_s": 1e-300}, windows_s=[1e-300],
+            ), "numeric range error"),
+            # numpy refuses arrays beyond the address space before allocating
+            ("pattern", lambda cfg: cfg.update(
+                methods=["intuitive"], screen={**cfg["screen"], "count": 10**17},
+            ), "out of memory"),
+            ("packet", lambda cfg: {
+                "k0_rad_per_m": 8.64e10, "delta_k_rad_per_m": 1.0e8, "x_min_m": -2e-8,
+                "x_max_m": 2e-8, "x_count": 10**17, "times_s": [0.0],
+            }, "out of memory"),
+        ],
+        ids=["underflowing_duration", "huge_screen", "huge_packet_grid"],
+    )
+    def test_exit_code_numeric_failure(self, tmp_path, capsys, command, edit, message):
+        cfg = fig4_preset() if command == "converge" else fig6_preset()
+        cfg = edit(cfg) or cfg
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--output", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_code_io_error(self, tmp_path, capsys):
         assert main(["pattern", "--config", str(tmp_path / "missing.json")]) == 4

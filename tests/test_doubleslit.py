@@ -142,7 +142,7 @@ class TestPattern:
 
     def test_mirror_symmetry_time_summed(self):
         geom = symmetric_geometry()
-        cfg = TimeSumConfig(window=6.88e-14, domain="t_domain")
+        cfg = TimeSumConfig(window=6.88e-14)
         fringe = de_broglie_wavelength(ELECTRON, SPEED) * ARM / SEPARATION
         pts = np.array([-fringe, -fringe / 2, 0.0, fringe / 2, fringe])
         result = pattern(
@@ -321,7 +321,7 @@ class TestNearFieldRecords:
         )
         gaps = []
         for window in (6.88e-14, 2 * 6.88e-14):
-            cfg = TimeSumConfig(window=window, domain="t_domain", max_nodes=4_000_000)
+            cfg = TimeSumConfig(window=window, max_nodes=4_000_000)
             p_ts = np.asarray(
                 pattern(geom, timing, screen, Method.TIME_SUMMED, 1, ELECTRON,
                         timesum_config=cfg).probability

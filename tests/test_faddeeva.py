@@ -6,15 +6,18 @@ import pytest
 
 from matterslit import (
     ELECTRON,
-    TimeSumConfig,
-    evaluate_window,
     faddeeva_w,
     normalized_argument,
     time_sum_prefactor,
     timesum_asymptotic,
     timesum_closed_form,
 )
-from conftest import faddeeva_oracle_grid, faddeeva_quadrature_oracle, symmetric_path
+from conftest import (
+    faddeeva_oracle_grid,
+    faddeeva_quadrature_oracle,
+    symmetric_path,
+    timesum_oracle,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -104,12 +107,12 @@ class TestTimesumClosedForm:
         )
 
     def test_agrees_with_quadrature(self):
+        # the library's full window is this closed form, so the check is
+        # against the panel oracle of the tests
         for phi0 in (50.0, 200.0, 1000.0):
             closed = timesum_closed_form(phi0, ELECTRON).as_complex()
-            path = symmetric_path(phi0)
-            config = TimeSumConfig(window=path.tau, domain="u_domain", max_nodes=10_000_000)
-            summed = evaluate_window(path, config, ELECTRON)[0].as_complex()
-            assert abs(summed - closed) / abs(closed) < 1e-3
+            summed = timesum_oracle(symmetric_path(phi0))
+            assert abs(summed - closed) / abs(closed) < 1e-8
 
     def test_no_overflow_at_huge_phase(self):
         # the stable form never exponentiates anything of growing modulus
